@@ -40,20 +40,10 @@
 // global cycle — no routing decisions, no putback — so sharded_heap<K=1>
 // is bit-for-bit the unsharded PipelinedParallelHeap (pinned by
 // test_sharded.cpp and the differential harness).
-// Concurrency (PR 7). With Config::workers > 0 the cycle actually runs in
-// parallel, under the same exact-output contract (bit-exact vs workers=0 at
-// any K, pinned differentially):
 //
-//   - Phase 2 (per-shard pulls) dispatches onto a persistent ThreadTeam.
-//     With W ≤ A active shards each worker serially cycles the shards
-//     i ≡ w (mod W); with W > A the surplus workers form per-shard CREWS
-//     that split each half-step's independent node groups across ranks —
-//     the paper's odd/even processor assignment within one heap. The K-way
-//     tournament (phase 3) is the only cross-shard synchronization point.
-//   - Phase 4 (putback) runs on the same team; with Config::overlap_putback
-//     the dispatch is asynchronous and cycle() returns right after the
-//     tournament, so the caller's think phase overlaps maintenance. The
-//     completion handshake happens at the next cycle()/quiesce() call.
+// The cycle runs on the calling thread, one shard after another. Two
+// driver-side refinements keep it cheap without changing its output:
+//
 //   - The cross-shard min hint (Config::min_hint) predicts each shard's
 //     pull prefix from its root node — stable across the odd half-step —
 //     replays the tournament over the predictions, and skips the full-k
@@ -61,16 +51,23 @@
 //     insert-only cycle so their pipelines advance). This kills the
 //     delete-side putback storm without any cross-shard peeking at pull
 //     time; see compute_pull_budgets() for the exactness argument.
+//   - Banded routing (Config::router) replaces the quantile partition map
+//     with a caller-supplied item -> band function; the DES driver uses
+//     timestamp bands to spread one cycle's delete wave across shards.
 //
-// Injected-fault / deadline / recovery cycles fall back to the serial pull
-// loop (fire_fault ordering and checkpoint-rollback are order-sensitive);
-// those are the cold paths by construction.
+// Parallelism lives inside one heap, not across shards: the paper assigns
+// processors to the levels of a single heap, which ParallelHeapEngine does
+// with its think and maintenance teams (DESIGN.md §12).
+//
+// Injected-fault / deadline / recovery cycles run with full pull budgets
+// (fire_fault ordering and checkpoint-rollback are order-sensitive, and the
+// pulled prefix doubles as a quarantine candidate set); those are the cold
+// paths by construction.
 #pragma once
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <exception>
 #include <functional>
 #include <memory>
 #include <span>
@@ -84,8 +81,6 @@
 #include "robustness/watchdog.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/assert.hpp"
-#include "util/barrier.hpp"
-#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
 namespace ph {
@@ -100,7 +95,6 @@ struct ShardedStats {
   std::uint64_t merge_width_sum = 0; ///< shards contributing >=1 item, summed
   std::uint64_t quarantines = 0;     ///< shards retired by fault or deadline
   std::uint64_t hint_skips = 0;      ///< shard pulls skipped by the min hint
-  std::uint64_t parallel_cycles = 0; ///< cycles whose pulls ran on the team
 
   /// Mean routing imbalance: K * max-share / fair-share (1.0 = perfectly
   /// balanced, K = everything lands on one shard). NaN-free: 0 when idle.
@@ -201,19 +195,6 @@ class ShardedHeap {
     /// the shard's pulled prefix (a valid deletion candidate set) joins the
     /// recovery run instead of being rolled back.
     std::uint64_t cycle_deadline_ns = 0;
-    /// Worker threads running phase 2 (per-shard pulls) and phase 4
-    /// (putback) concurrently; 0 = fully serial cycle, which stays the
-    /// differential baseline. With more workers than active shards the
-    /// surplus forms per-shard crews splitting each half-step's node groups
-    /// (the paper's odd/even processor assignment within one heap). Output
-    /// is bit-exact vs workers=0 at any count; cold cycles (armed
-    /// fail-points, deadlines, recovery) run serial regardless.
-    unsigned workers = 0;
-    /// With workers > 0: cycle() returns right after the tournament and the
-    /// putback runs asynchronously on the team; the completion handshake is
-    /// the next cycle()/quiesce() call, so the caller's think phase
-    /// overlaps phase-4 maintenance. size()/live() lag until the handshake.
-    bool overlap_putback = false;
     /// Cross-shard min hint: before phase 2, predict every shard's pull
     /// prefix from its (half-step-stable) root node, replay the tournament
     /// over the predictions, and drop provably-losing shards' pull budgets
@@ -247,34 +228,10 @@ class ShardedHeap {
     pull_k_.resize(cfg_.shards);
     hint_.resize(cfg_.shards);
     hint_take_.resize(cfg_.shards);
-    if (cfg_.workers > 0) {
-      team_ = std::make_unique<ThreadTeam>(cfg_.workers, false, "shard");
-      worker_exc_.resize(cfg_.workers);
-      worker_sink_.resize(cfg_.workers);
-    }
-    live_ = std::make_unique<Live>(cfg_.shards, cfg_.workers);
+    live_ = std::make_unique<Live>(cfg_.shards);
     reset_active();
     update_live(0);
   }
-
-  ~ShardedHeap() {
-    if (putback_pending_ && team_ != nullptr) {
-      try {
-        quiesce();
-      } catch (...) {
-        // A worker exception with no cycle left to surface it in; the
-        // structure is being torn down anyway. Throwing out of a destructor
-        // is std::terminate, so the failure is swallowed — but not silently:
-        // the flight ring keeps the causal record for the post-mortem dump.
-        obs::flight(obs::FlightKind::kTeardownError,
-                    static_cast<std::uint64_t>(
-                        robustness::FailSite::kShardPutback));
-      }
-    }
-  }
-
-  ShardedHeap(ShardedHeap&&) = default;
-  ShardedHeap& operator=(ShardedHeap&&) = default;
 
   ShardedHeap(std::size_t node_capacity, std::size_t shards, Compare cmp = Compare())
       : ShardedHeap(node_capacity, Config{shards, 0, 1024}, std::move(cmp)) {}
@@ -311,8 +268,7 @@ class ShardedHeap {
     std::vector<std::vector<T>> shard_items;
   };
 
-  Snapshot snapshot() {
-    quiesce();
+  Snapshot snapshot() const {
     Snapshot s;
     s.splits = part_.splits();
     s.active = active_;
@@ -326,7 +282,6 @@ class ShardedHeap {
   /// and per-shard contents all return to their captured values (the
   /// rolling sample restarts empty — see snapshot()).
   void restore(const Snapshot& s) {
-    quiesce();
     PH_ASSERT(s.shard_items.size() == shards_.size());
     PH_ASSERT(s.active.size() == shards_.size());
     active_ = s.active;
@@ -355,7 +310,7 @@ class ShardedHeap {
   /// quarantines any ACTIVE shard whose channel has been stalled for
   /// `polls_to_quarantine` consecutive polls — the same drain/redistribute
   /// retirement as the deadline path, applied at the next cycle boundary
-  /// (the quiescent point where the shard's state is consistent). The last
+  /// (where the shard's state is consistent). The last
   /// active shard is never retired. Call before the first cycle.
   void attach_watchdog(robustness::PhaseWatchdog& wd,
                        std::uint32_t polls_to_quarantine = 1) {
@@ -376,11 +331,7 @@ class ShardedHeap {
   /// read: a scrape thread never touches the real shards, so it can run
   /// mid-cycle without synchronizing with the engine.
   struct Live {
-    Live(std::size_t shards, std::size_t workers)
-        : shard_size(shards),
-          shard_active(shards),
-          worker_busy_ns(workers),
-          worker_phases(workers) {}
+    explicit Live(std::size_t shards) : shard_size(shards), shard_active(shards) {}
     std::vector<std::atomic<std::uint64_t>> shard_size;
     std::vector<std::atomic<std::uint64_t>> shard_active;  ///< 0/1
     std::atomic<std::uint64_t> active_shards{0};
@@ -392,13 +343,6 @@ class ShardedHeap {
     std::atomic<std::uint64_t> quarantines{0};
     std::atomic<std::uint64_t> hint_skips{0};
     std::atomic<std::uint64_t> last_cycle_ns{0};
-    /// Per-worker phase occupancy: cumulative ns spent inside pull/putback
-    /// stints and the number of stints, written by the workers themselves
-    /// as each stint ends (not at cycle boundaries) — a scraper divides
-    /// busy-ns deltas by wall-clock to get each worker's occupancy, the
-    /// evidence EXPERIMENTS.md E15 leans on. Empty when workers == 0.
-    std::vector<std::atomic<std::uint64_t>> worker_busy_ns;
-    std::vector<std::atomic<std::uint64_t>> worker_phases;
   };
 
   const Live& live() const noexcept { return *live_; }
@@ -446,24 +390,11 @@ class ShardedHeap {
                   [lv, field] { return static_cast<double>(
                                     (lv->*field).load(std::memory_order_relaxed)); });
     }
-    for (std::size_t w = 0; w < lv->worker_busy_ns.size(); ++w) {
-      gauges_.add(
-          obs::GaugeDesc{"shard_worker_busy_ns", lab({{"worker", std::to_string(w)}}),
-                         "Cumulative ns this worker spent in pull/putback stints."},
-          [lv, w] { return static_cast<double>(
-                        lv->worker_busy_ns[w].load(std::memory_order_relaxed)); });
-      gauges_.add(
-          obs::GaugeDesc{"shard_worker_phases", lab({{"worker", std::to_string(w)}}),
-                         "Pull/putback stints this worker has completed."},
-          [lv, w] { return static_cast<double>(
-                        lv->worker_phases[w].load(std::memory_order_relaxed)); });
-    }
   }
 
   /// Forces an immediate partition-map re-estimation from the rolling
   /// sample (testing/tuning; the interval path calls this too).
   void rebalance_now() {
-    quiesce();
     if (cfg_.router) return;  // banded routing bypasses the partition map
     if (sample_.empty() || active_shards() == 1) return;
     part_.rebalance(std::span<const T>(sample_));
@@ -477,7 +408,6 @@ class ShardedHeap {
   /// bulk-loads each shard with its range. Quarantined shards are
   /// reactivated (build is a full reset).
   void build(std::span<const T> items) {
-    quiesce();
     reset_active();
     observe(items);
     if (!seeded_ && !items.empty()) {
@@ -498,18 +428,14 @@ class ShardedHeap {
   /// puts losing prefix items back. Returns the number deleted.
   std::size_t cycle(std::span<const T> fresh, std::size_t k, std::vector<T>& out) {
     PH_ASSERT_MSG(k <= r_, "cycle(): k must not exceed the node capacity r");
-    // Overlap handshake, completion side: the previous cycle's putback (if
-    // dispatched asynchronously) must finish before anything reads or
-    // routes — the caller's think time since then is what got overlapped.
-    quiesce();
     ++stats_.cycles;
     recovery_.clear();
 
     // Causal identity: every span recorded during this cycle — route, each
-    // shard's pipeline levels (ThreadTeam propagates the context into its
-    // workers), merge, putback — carries this id, so the Chrome exporter can
-    // stitch one cycle across all K shards into a single flow. The flight
-    // recorder logs the same id, linking black-box events to trace spans.
+    // shard's pipeline levels, merge, putback — carries this id, so the
+    // Chrome exporter can stitch one cycle across all K shards into a single
+    // flow. The flight recorder logs the same id, linking black-box events
+    // to trace spans.
     const std::uint64_t trace_id = telemetry::new_trace_id();
     telemetry::TraceCtxScope trace_scope(trace_id);
     obs::flight(obs::FlightKind::kCycle, trace_id, fresh.size());
@@ -517,7 +443,7 @@ class ShardedHeap {
 
     // Phase 0: watchdog verdicts. A shard whose heartbeat channel has been
     // stalled for wd_polls_ consecutive polls is retired here, at the cycle
-    // boundary — its state is quiescent and valid, so it takes the same
+    // boundary — its state is settled and valid, so it takes the same
     // drain/redistribute path as a deadline miss (extra_ empty) and its
     // items fold into THIS cycle's tournament.
     if (wd_ != nullptr) {
@@ -557,74 +483,19 @@ class ShardedHeap {
       observe(fresh);
     }
 
-    // Phase 2: pull per-shard prefixes. Every active shard cycles every
-    // global cycle — even an empty one — so parked update processes keep
-    // advancing at the global cycle rate. A shard that trips a fail-point
-    // here (or finishes past its deadline) is quarantined: rolled back to
-    // its pre-cycle checkpoint (fault path only), drained, and folded into
-    // this cycle's tournament via the recovery run.
+    // Phase 2: pull per-shard prefixes (pull_shard). The slot list is a
+    // copy because a quarantine narrows dense_ mid-loop.
     cycle_slots_.assign(dense_.begin(), dense_.end());
     // Cold cycles — armed fail-points (fire-counter order is global and
     // order-sensitive), deadlines (the pulled prefix doubles as quarantine
-    // candidate set), or a phase-0 recovery run — take the serial loop with
-    // full budgets; everything else may use the min hint and the team.
-    // kShardPutback is excluded from the gate: it exists to fault the TEAM
-    // putback path, which a cold cycle would never reach.
-    const bool cold =
-        robustness::any_armed_except(
-            robustness::site_bit(robustness::FailSite::kShardPutback)) ||
-        cfg_.cycle_deadline_ns > 0 || !recovery_.empty();
+    // candidate set), or a phase-0 recovery run — keep full budgets;
+    // everything else may use the min hint.
+    const bool cold = robustness::any_armed() || cfg_.cycle_deadline_ns > 0 ||
+                      !recovery_.empty();
     compute_pull_budgets(k, cold);
-    const bool on_team = team_ != nullptr && !cold;
-    if (on_team) {
-      ++stats_.parallel_cycles;
-      telemetry::count(telemetry::Counter::kShardParallelCycles);
-      run_parallel_pulls();
-    } else {
-    for (const std::size_t s : cycle_slots_) {
-      pulled_[s].clear();
-      telemetry::TraceTagScope shard_tag(static_cast<std::uint32_t>(s));
-      // Checkpointing is O(shard size); only pay for it when an injected
-      // failure can actually fire and we have a survivor to fail over to.
-      const bool guard = cfg_.quarantine && active_shards() > 1 &&
-                         robustness::any_armed();
-      const bool timed = cfg_.cycle_deadline_ns > 0;
-      if (!guard && !timed) {
-        shards_[s].cycle(route_buf_[s], pull_k_[s], pulled_[s]);
-        if (wd_ != nullptr) wd_->beat(wd_ch_[s]);
-        continue;
-      }
-      typename Shard::Snapshot snap;
-      if (guard) snap = shards_[s].snapshot();
-      Timer t;
-      try {
-        if (guard) robustness::fire_fault(robustness::FailSite::kShardCycle);
-        shards_[s].cycle(route_buf_[s], pull_k_[s], pulled_[s]);
-      } catch (const robustness::InjectedFailure&) {
-        if (!guard) throw;
-        // The cycle died mid-flight: the shard may be poisoned and its
-        // routed batch was never committed. Roll back to the checkpoint,
-        // discard any partial pull, and retire the shard; checkpoint items
-        // plus the uncommitted routed batch form its recovery content.
-        shards_[s].restore(snap);
-        pulled_[s].clear();
-        extra_.assign(route_buf_[s].begin(), route_buf_[s].end());
-        std::sort(extra_.begin(), extra_.end(), cmp_);
-        quarantine_shard(s);
-        robustness::note_recovery(robustness::FailSite::kShardCycle);
-        continue;
-      }
-      if (timed && t.nanos() > cfg_.cycle_deadline_ns && active_shards() > 1) {
-        // Completed, but too slow to keep on the critical path. State is
-        // valid: its pulled prefix is a legitimate candidate set, so it
-        // joins the recovery run rather than being rolled back.
-        extra_.swap(pulled_[s]);  // already sorted
-        pulled_[s].clear();
-        quarantine_shard(s);
-        continue;
-      }
-      if (wd_ != nullptr) wd_->beat(wd_ch_[s]);
-    }
+    {
+      telemetry::SpanScope span(telemetry::Phase::kShardPull);
+      for (const std::size_t s : cycle_slots_) pull_shard(s);
     }
 
     // Phase 3: K-way tournament over the sorted prefixes (plus the recovery
@@ -671,32 +542,8 @@ class ShardedHeap {
 
     // Phase 4: put losing prefix suffixes back where they came from
     // (insert-only cycles; k = 0 advances nothing out of the shard).
-    if (on_team) {
-      // Per-shard putbacks are independent; stats are accounted here, at
-      // dispatch, so the deferred handshake only owes rebalance + Live.
-      std::size_t put_total = 0;
-      for (const std::size_t s : cycle_slots_) {
-        if (take_[s] < pulled_[s].size()) put_total += pulled_[s].size() - take_[s];
-      }
-      if (put_total > 0) {
-        stats_.putbacks += put_total;
-        telemetry::count(telemetry::Counter::kShardPutbacks, put_total);
-        putback_done_.assign(shards_.size(), std::uint8_t{0});
-        putback_fn_ = [this](unsigned w) { putback_worker(w); };
-        if (cfg_.overlap_putback) {
-          // Overlap handshake, dispatch side: hand phase 4 to the team and
-          // return with the tournament result; the caller thinks while the
-          // putback cycles run. quiesce() completes the handshake.
-          putback_pending_ = true;
-          pending_cycle_ns_ = cycle_timer.nanos();
-          team_->begin(putback_fn_);
-          return taken;
-        }
-        team_->run(putback_fn_);
-        recover_deferred_putbacks();
-        rethrow_worker_exc();
-      }
-    } else {
+    {
+      telemetry::SpanScope span(telemetry::Phase::kShardPutback);
       for (std::size_t s = 0; s < shards_.size(); ++s) {
         if (take_[s] >= pulled_[s].size()) continue;
         telemetry::TraceTagScope shard_tag(static_cast<std::uint32_t>(s));
@@ -737,31 +584,8 @@ class ShardedHeap {
     return taken;
   }
 
-  /// Overlap handshake, completion side: joins the worker team if an
-  /// asynchronous putback is outstanding, rethrows any worker exception,
-  /// applies the deferred rebalance check, and refreshes the Live mirror.
-  /// cycle() calls this on entry — that call pair IS the think/maintenance
-  /// overlap — and so does every other state-touching entry point; call it
-  /// directly only before reading size()/live() at a true quiescent point.
-  void quiesce() {
-    if (!putback_pending_ || team_ == nullptr) return;
-    putback_pending_ = false;
-    team_->wait();
-    recover_deferred_putbacks();
-    rethrow_worker_exc();
-    if (cfg_.rebalance_interval != 0 &&
-        stats_.cycles % cfg_.rebalance_interval == 0) {
-      rebalance_now();
-    }
-    update_live(pending_cycle_ns_);
-  }
-
-  /// True while an overlapped putback is still outstanding.
-  bool putback_pending() const noexcept { return putback_pending_; }
-
   /// Verifies every shard's structural invariants (drains their pipelines).
   bool check_invariants(std::string* why = nullptr) {
-    quiesce();
     for (std::size_t s = 0; s < shards_.size(); ++s) {
       std::string inner;
       if (!shards_[s].check_invariants(&inner)) {
@@ -774,7 +598,6 @@ class ShardedHeap {
 
   /// All contents ascending (drains; testing/diagnostics).
   std::vector<T> sorted_contents() {
-    quiesce();
     std::vector<T> all;
     for (Shard& s : shards_) {
       const std::vector<T> part = s.sorted_contents();
@@ -797,7 +620,6 @@ class ShardedHeap {
   /// deactivates it. Survivors keep cycling; fresh values that would have
   /// routed to `s` spread across the narrowed partition map.
   std::vector<T> release_shard(std::size_t s) {
-    quiesce();
     PH_ASSERT_MSG(active_shards() > 1, "cannot release the last active shard");
     PH_ASSERT_MSG(active_[s] != 0, "release_shard: shard already inactive");
     std::vector<T> drained = shards_[s].sorted_contents();
@@ -812,7 +634,6 @@ class ShardedHeap {
   /// restores it to the routing table. Conservation is the caller's
   /// contract: adopt back exactly what release (plus interim ops) left.
   void adopt_shard(std::size_t s, std::span<const T> items) {
-    quiesce();
     PH_ASSERT_MSG(active_[s] == 0, "adopt_shard: shard already active");
     shards_[s].build(items);
     active_[s] = 1;
@@ -909,251 +730,55 @@ class ShardedHeap {
     }
   }
 
-  /// Phase 2 on the worker team. With W <= A each worker serially cycles
-  /// the shards at positions ≡ its id (mod W) — whole pipelines are the
-  /// parallel units. With W > A every shard gets a crew (build_crews) that
-  /// splits each half-step's independent node groups across its ranks.
-  void run_parallel_pulls() {
-    const std::size_t nslots = cycle_slots_.size();
-    const unsigned team_w = team_->size();
-    if (crew_built_for_ != nslots) build_crews(nslots);
-    std::fill(worker_exc_.begin(), worker_exc_.end(), std::exception_ptr{});
-    for (const std::size_t s : cycle_slots_) pulled_[s].clear();
-    pull_fn_ = [this, nslots, team_w](unsigned w) {
-      telemetry::SpanScope span(telemetry::Phase::kShardPull);
-      Timer busy;
-      if (team_w <= nslots) {
-        for (std::size_t i = w; i < nslots; i += team_w) {
-          pull_one(w, cycle_slots_[i]);
-        }
-      } else {
-        const std::size_t c = w % nslots;
-        if (w / nslots == 0) {
-          crew_primary(w, c);
-        } else {
-          crew_helper(w, c, w / nslots);
-        }
-      }
-      note_worker_busy(w, busy.nanos());
-    };
-    team_->run(pull_fn_);
-    rethrow_worker_exc();
-  }
-
-  /// One shard's full pull, run serially by one worker (the W <= A stripes
-  /// and single-member crews).
-  void pull_one(unsigned w, std::size_t s) {
+  /// Phase 2 for one shard: pulls its prefix into pulled_[s]. Every active
+  /// shard cycles every global cycle — even an empty one — so parked update
+  /// processes keep advancing at the global cycle rate. A shard that trips a
+  /// fail-point here (or finishes past its deadline) is quarantined: rolled
+  /// back to its pre-cycle checkpoint (fault path only), drained, and folded
+  /// into this cycle's tournament via the recovery run.
+  void pull_shard(std::size_t s) {
+    pulled_[s].clear();
     telemetry::TraceTagScope shard_tag(static_cast<std::uint32_t>(s));
-    try {
+    // Checkpointing is O(shard size); only pay for it when an injected
+    // failure can actually fire and we have a survivor to fail over to.
+    const bool guard =
+        cfg_.quarantine && active_shards() > 1 && robustness::any_armed();
+    const bool timed = cfg_.cycle_deadline_ns > 0;
+    if (!guard && !timed) {
       shards_[s].cycle(route_buf_[s], pull_k_[s], pulled_[s]);
-    } catch (...) {
-      if (!worker_exc_[w]) worker_exc_[w] = std::current_exception();
-    }
-    if (wd_ != nullptr) wd_->beat(wd_ch_[s]);
-  }
-
-  /// Crew primary (rank 0): drives its shard's composed cycle —
-  /// advance(1) + root_work + advance(0), the same decomposition step()
-  /// makes — publishing each half-step's (ngroups, fn) to the helper ranks.
-  /// ngroups/fn are plain fields: the SenseBarrier's acq_rel RMW chain
-  /// orders the primary's stores before every helper's loads, and the
-  /// helpers' ServiceCtx writes before the primary's merges after the
-  /// second crossing. Helpers always see exactly two phases per cycle:
-  /// advance_with() returning without calling the runner (empty half-step)
-  /// and thrown exceptions both publish empty phases so nobody is left at
-  /// the barrier.
-  void crew_primary(unsigned w, std::size_t c) {
-    const std::size_t s = cycle_slots_[c];
-    const std::size_t q = crew_ctx_[c].size();
-    if (q == 1) {  // the surplus ranks didn't reach this shard
-      pull_one(w, s);
+      if (wd_ != nullptr) wd_->beat(wd_ch_[s]);
       return;
     }
-    CrewSlot& crew = crews_[c];
-    telemetry::TraceTagScope shard_tag(static_cast<std::uint32_t>(s));
-    bool sense = crew_sense_[w] != 0;
-    int published = 0;
-    auto runner = [&](std::size_t ngroups,
-                      const std::function<void(std::size_t, ServiceCtx&)>& fn) {
-      ++published;
-      crew.ngroups = ngroups;
-      crew.fn = &fn;
-      crew.bar->arrive_and_wait(sense);
-      try {
-        for (std::size_t g = 0; g < ngroups; g += q) fn(g, crew_ctx_[c][0]);
-      } catch (...) {
-        if (!worker_exc_[w]) worker_exc_[w] = std::current_exception();
-      }
-      crew.bar->arrive_and_wait(sense);
-      // Rank order fixes the spawn/park sequence, keeping the composed
-      // cycle bit-identical to the serial one (the MT adapter discipline).
-      for (std::size_t rk = 0; rk < q; ++rk) {
-        shards_[s].merge_ctx(crew_ctx_[c][rk]);
-      }
-    };
-    auto empty_phase = [&] {
-      ++published;
-      crew.ngroups = 0;
-      crew.fn = nullptr;
-      crew.bar->arrive_and_wait(sense);
-      crew.bar->arrive_and_wait(sense);
-    };
+    typename Shard::Snapshot snap;
+    if (guard) snap = shards_[s].snapshot();
+    Timer t;
     try {
-      int before = published;
-      shards_[s].advance_with(1, runner);
-      if (published == before) empty_phase();
-      shards_[s].root_work_public(route_buf_[s], pull_k_[s], pulled_[s]);
-      before = published;
-      shards_[s].advance_with(0, runner);
-      if (published == before) empty_phase();
-    } catch (...) {
-      if (!worker_exc_[w]) worker_exc_[w] = std::current_exception();
-      while (published < 2) empty_phase();
+      if (guard) robustness::fire_fault(robustness::FailSite::kShardCycle);
+      shards_[s].cycle(route_buf_[s], pull_k_[s], pulled_[s]);
+    } catch (const robustness::InjectedFailure&) {
+      if (!guard) throw;
+      // The cycle died mid-flight: the shard may be poisoned and its routed
+      // batch was never committed. Roll back to the checkpoint, discard any
+      // partial pull, and retire the shard; checkpoint items plus the
+      // uncommitted routed batch form its recovery content.
+      shards_[s].restore(snap);
+      pulled_[s].clear();
+      extra_.assign(route_buf_[s].begin(), route_buf_[s].end());
+      std::sort(extra_.begin(), extra_.end(), cmp_);
+      quarantine_shard(s);
+      robustness::note_recovery(robustness::FailSite::kShardCycle);
+      return;
     }
-    crew_sense_[w] = sense ? std::uint8_t{1} : std::uint8_t{0};
+    if (timed && t.nanos() > cfg_.cycle_deadline_ns && active_shards() > 1) {
+      // Completed, but too slow to keep on the critical path. State is
+      // valid: its pulled prefix is a legitimate candidate set, so it joins
+      // the recovery run rather than being rolled back.
+      extra_.swap(pulled_[s]);  // already sorted
+      pulled_[s].clear();
+      quarantine_shard(s);
+      return;
+    }
     if (wd_ != nullptr) wd_->beat(wd_ch_[s]);
-  }
-
-  /// Crew helper (rank > 0): services its stride of each published
-  /// half-step's groups into its own ServiceCtx. Never throws past a
-  /// barrier — an exception is stashed and the remaining crossings still
-  /// happen, so the crew's phase count always balances.
-  void crew_helper(unsigned w, std::size_t c, std::size_t rank) {
-    const std::size_t s = cycle_slots_[c];
-    CrewSlot& crew = crews_[c];
-    const std::size_t q = crew_ctx_[c].size();
-    telemetry::TraceTagScope shard_tag(static_cast<std::uint32_t>(s));
-    bool sense = crew_sense_[w] != 0;
-    for (int phase = 0; phase < 2; ++phase) {
-      crew.bar->arrive_and_wait(sense);
-      const std::size_t n = crew.ngroups;
-      const auto* fn = crew.fn;
-      try {
-        for (std::size_t g = rank; g < n; g += q) {
-          (*fn)(g, crew_ctx_[c][rank]);
-        }
-      } catch (...) {
-        if (!worker_exc_[w]) worker_exc_[w] = std::current_exception();
-      }
-      crew.bar->arrive_and_wait(sense);
-    }
-    crew_sense_[w] = sense ? std::uint8_t{1} : std::uint8_t{0};
-  }
-
-  /// Rebuilds the crew tables for an active-shard count (W > A only): crew
-  /// c gets ceil((W - c) / A) members — every crew at least one — plus a
-  /// barrier when it has helpers. Barrier senses reset with the tables.
-  void build_crews(std::size_t nslots) {
-    const unsigned team_w = team_->size();
-    crews_.clear();
-    crews_.resize(nslots);
-    crew_ctx_.clear();
-    crew_ctx_.resize(nslots);
-    for (std::size_t c = 0; c < nslots; ++c) {
-      const std::size_t q =
-          team_w > nslots ? (team_w - c + nslots - 1) / nslots : 1;
-      crew_ctx_[c].resize(q);
-      if (q > 1) {
-        crews_[c].bar = std::make_unique<SenseBarrier>(static_cast<std::uint32_t>(q));
-      }
-    }
-    crew_sense_.assign(team_w, std::uint8_t{0});
-    crew_built_for_ = nslots;
-  }
-
-  /// Phase 4 on the worker team: each worker handles its stripe of shards'
-  /// losing suffixes via insert-only cycles (stats were accounted at
-  /// dispatch). Runs either synchronously (team_->run) or detached behind
-  /// the overlap handshake; either way the scratch it reads (cycle_slots_,
-  /// take_, pulled_) is not touched again until quiesce().
-  void putback_worker(unsigned w) {
-    telemetry::SpanScope span(telemetry::Phase::kShardPutback);
-    Timer busy;
-    const std::size_t nslots = cycle_slots_.size();
-    const unsigned team_w = team_->size();
-    for (std::size_t i = w; i < nslots; i += team_w) {
-      const std::size_t s = cycle_slots_[i];
-      if (take_[s] >= pulled_[s].size()) continue;
-      telemetry::TraceTagScope shard_tag(static_cast<std::uint32_t>(s));
-      const auto rest = std::span<const T>(pulled_[s]).subspan(take_[s]);
-      worker_sink_[w].clear();
-      try {
-        // Fires BEFORE the shard cycle, so an injected fault leaves the
-        // shard untouched and its suffix intact — the handshake can retry
-        // the slot serially (recover_deferred_putbacks).
-        robustness::fire_fault(robustness::FailSite::kShardPutback);
-        shards_[s].cycle(rest, 0, worker_sink_[w]);
-        putback_done_[s] = 1;
-      } catch (...) {
-        if (!worker_exc_[w]) worker_exc_[w] = std::current_exception();
-      }
-    }
-    note_worker_busy(w, busy.nanos());
-  }
-
-  /// Completion-side repair for faulted team putbacks: if every stashed
-  /// worker exception is an injected fault (real exceptions still surface
-  /// via rethrow_worker_exc), retry the unfinished slots serially on the
-  /// driver. Worker stripes are disjoint and the team has joined, so
-  /// putback_done_ is safely readable here. Each retry still evaluates the
-  /// fail-point; a site armed beyond the retry budget leaves one injected
-  /// failure stashed for the caller (the destructor path swallows it and
-  /// records kTeardownError instead).
-  void recover_deferred_putbacks() {
-    bool faulted = false;
-    for (const auto& e : worker_exc_) {
-      if (!e) continue;
-      try {
-        std::rethrow_exception(e);
-      } catch (const robustness::InjectedFailure&) {
-        faulted = true;
-      } catch (...) {
-        return;  // a real failure: leave everything for rethrow_worker_exc
-      }
-    }
-    if (!faulted) return;
-    for (auto& e : worker_exc_) e = nullptr;
-    for (const std::size_t s : cycle_slots_) {
-      if (take_[s] >= pulled_[s].size() || putback_done_[s] != 0) continue;
-      const auto rest = std::span<const T>(pulled_[s]).subspan(take_[s]);
-      bool ok = false;
-      for (int attempt = 0; attempt < 64 && !ok; ++attempt) {
-        sink_.clear();
-        try {
-          robustness::fire_fault(robustness::FailSite::kShardPutback);
-          shards_[s].cycle(rest, 0, sink_);
-          ok = true;
-        } catch (const robustness::InjectedFailure&) {
-        }
-      }
-      if (!ok) {
-        worker_exc_[0] = std::make_exception_ptr(
-            robustness::InjectedFault(robustness::FailSite::kShardPutback));
-        return;
-      }
-      putback_done_[s] = 1;
-      robustness::note_recovery(robustness::FailSite::kShardPutback);
-    }
-  }
-
-  /// Surfaces the first stashed worker exception (driver thread, after a
-  /// join). Clears the slot so a handled failure is not rethrown forever.
-  void rethrow_worker_exc() {
-    for (auto& e : worker_exc_) {
-      if (e) {
-        const std::exception_ptr p = e;
-        e = nullptr;
-        std::rethrow_exception(p);
-      }
-    }
-  }
-
-  /// Per-worker occupancy accounting (Live mirror; workers write their own
-  /// slots, relaxed — see Live::worker_busy_ns).
-  void note_worker_busy(unsigned w, std::uint64_t ns) noexcept {
-    if (live_ == nullptr || w >= live_->worker_busy_ns.size()) return;
-    live_->worker_busy_ns[w].fetch_add(ns, std::memory_order_relaxed);
-    live_->worker_phases[w].fetch_add(1, std::memory_order_relaxed);
   }
 
   /// Reactivates every shard and restores the full-width partition map
@@ -1281,32 +906,6 @@ class ShardedHeap {
   std::vector<std::vector<T>> route_buf_, pulled_, redist_;
   std::vector<std::size_t> take_, cycle_slots_;
   std::vector<T> sink_, recovery_, extra_;
-
-  /// One active shard's crew (W > A only): the publication slot its
-  /// primary writes and its helpers read, ordered by the barrier's
-  /// crossings. bar is null for single-member crews.
-  struct CrewSlot {
-    std::unique_ptr<SenseBarrier> bar;
-    std::size_t ngroups = 0;
-    const std::function<void(std::size_t, ServiceCtx&)>* fn = nullptr;
-  };
-
-  // Concurrency (Config::workers > 0). The team persists across cycles;
-  // pull_fn_/putback_fn_ are members because begin()/wait() pairs (the
-  // overlap handshake) must outlive the dispatching call.
-  std::unique_ptr<ThreadTeam> team_;
-  std::vector<std::exception_ptr> worker_exc_;  ///< first failure per worker
-  std::vector<std::vector<T>> worker_sink_;     ///< per-worker putback sinks
-  std::vector<std::uint8_t> putback_done_;      ///< per-shard putback landed
-  std::function<void(unsigned)> pull_fn_, putback_fn_;
-  bool putback_pending_ = false;                ///< overlap handshake open
-  std::uint64_t pending_cycle_ns_ = 0;          ///< cycle timer at dispatch
-
-  // Crew tables, rebuilt when the active-shard count changes.
-  std::vector<CrewSlot> crews_;
-  std::vector<std::vector<ServiceCtx>> crew_ctx_;  ///< [crew][rank]
-  std::vector<std::uint8_t> crew_sense_;           ///< per-worker barrier sense
-  std::size_t crew_built_for_ = static_cast<std::size_t>(-1);
 
   // Min-hint scratch (compute_pull_budgets).
   std::vector<std::size_t> pull_k_;   ///< per-slot deletion budget this cycle

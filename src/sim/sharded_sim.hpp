@@ -33,8 +33,6 @@ struct ShardedSimConfig {
   std::size_t rebalance_interval = 32;  ///< cycles between map re-estimations
   bool quarantine = false;              ///< retire a shard that trips a fail-point
   std::uint64_t cycle_deadline_ns = 0;  ///< retire a shard slower than this (0=off)
-  unsigned workers = 0;                 ///< shard-pull worker threads (0 = serial)
-  bool overlap_putback = false;         ///< overlap putback with the think phase
   bool min_hint = true;                 ///< cross-shard min hint (exact skip)
   /// Timestamp-band routing (the delete-hotspot fix): events route to shard
   /// floor(ts / band) mod K instead of by key-range quantiles, so one cycle's
@@ -62,8 +60,6 @@ inline ShardedSimResult run_sharded_sim(const Model& model, double end_time,
   qcfg.sample_capacity = 1024;
   qcfg.quarantine = cfg.quarantine;
   qcfg.cycle_deadline_ns = cfg.cycle_deadline_ns;
-  qcfg.workers = cfg.workers;
-  qcfg.overlap_putback = cfg.overlap_putback;
   qcfg.min_hint = cfg.min_hint;
   const double band =
       cfg.band_width > 0 ? cfg.band_width

@@ -84,7 +84,6 @@ struct SvcConfig {
   std::string dir;                    ///< durable directory (WAL home)
   std::size_t shards = 4;
   std::size_t node_capacity = 128;
-  std::size_t workers = 0;            ///< ShardedHeap worker team (0 = serial)
   std::size_t producers = 4;          ///< ingest staging slots (tenant-hashed)
   persist::FsyncPolicy fsync = persist::FsyncPolicy::kNever;
 
@@ -452,7 +451,6 @@ class SchedulerCore {
     opt.checkpoint_on_open = false;
     ShardedHeap<Job, JobLess>::Config sc;
     sc.shards = cfg_.shards == 0 ? 1 : cfg_.shards;
-    sc.workers = cfg_.workers;
     return Inner(
         ShardedHeap<Job, JobLess>(cfg_.node_capacity, sc, JobLess{}),
         std::move(opt),

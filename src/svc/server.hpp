@@ -3,7 +3,7 @@
 //
 // One thread, poll(2), nonblocking fds — the same stance as the metrics
 // publisher. Concurrency lives where the library already earns it (the
-// sharded cycle, the staging slots); the protocol edge stays serial so
+// staging slots); the protocol edge stays serial so
 // every WAL record, ack, and ledger transition has one total order.
 //
 // Request handling per loop iteration:
@@ -20,7 +20,9 @@
 //             parked ack flushes. This is the fsync-policy/latency tradeoff
 //             made real: batching N acks behind one record.
 //   write     drain outbufs; a connection whose outbuf exceeds the cap is a
-//             dead-slow consumer and is dropped (backpressure, not OOM).
+//             dead-slow consumer and is dropped (backpressure, not OOM). A
+//             connection whose peer sent EOF closes once its outbuf and
+//             parked acks are empty.
 //
 // Backpressure ladder (client-visible order): parked-ack depth over
 // max_inflight => immediate kOverloaded (cheapest — core untouched); then
@@ -149,12 +151,15 @@ class Server {
                             cfg_.idle_timeout_ms);
       if (pr < 0 && errno != EINTR) break;
 
+      // Only the connections polled this round have revents; accept_new()
+      // appends past them, and those wait for the next round's poll.
+      const std::size_t polled = conns_.size();
       std::size_t pi = 0;
       if (!draining_) {
         if ((pfds_[pi].revents & POLLIN) != 0) accept_new();
         ++pi;
       }
-      for (std::size_t ci = 0; ci < conns_.size(); ++ci, ++pi) {
+      for (std::size_t ci = 0; ci < polled; ++ci, ++pi) {
         Conn& c = *conns_[ci];
         if (c.fd < 0) continue;
         const short re = pfds_[pi].revents;
@@ -171,7 +176,12 @@ class Server {
       flush_parked_acks();
 
       for (auto& c : conns_) {
-        if (c->fd >= 0 && !c->outbuf_empty()) write_conn(*c);
+        if (c->fd < 0) continue;
+        if (!c->outbuf_empty()) {
+          write_conn(*c);
+        } else if (c->kill && c->parked.empty() && c.get() != shutdown_conn_) {
+          close_conn(*c);  // EOF with nothing left to send: hang up now
+        }
       }
       reap_closed();
 
@@ -231,7 +241,7 @@ class Server {
     for (auto& c : conns_) {
       short ev = 0;
       if (c->fd >= 0) {
-        if (!draining_) ev |= POLLIN;
+        if (!draining_ && !c->kill) ev |= POLLIN;  // a killed conn reads no more
         if (!c->outbuf_empty()) ev |= POLLOUT;
       }
       pfds_.push_back(::pollfd{c->fd, ev, 0});

@@ -88,7 +88,6 @@ const char* counter_name(Counter c) noexcept {
     case Counter::kWalReplayed: return "wal_replayed";
     case Counter::kRecoveries: return "recoveries";
     case Counter::kShardHintSkips: return "shard_hint_skips";
-    case Counter::kShardParallelCycles: return "shard_parallel_cycles";
     case Counter::kLaneQuarantines: return "lane_quarantines";
     case Counter::kIngestStaged: return "ingest_staged";
     case Counter::kIngestRuns: return "ingest_runs";

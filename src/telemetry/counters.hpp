@@ -81,7 +81,6 @@ enum class Counter : unsigned {
   kWalReplayed,      ///< WAL records applied during recovery
   kRecoveries,       ///< completed recovery passes (DurableHeap opens)
   kShardHintSkips,   ///< shard pulls skipped by the cross-shard min hint
-  kShardParallelCycles, ///< sharded cycles whose pulls ran on the worker team
   kLaneQuarantines,  ///< engine think lanes retired after repeated failures
   kIngestStaged,     ///< items staged into producer buffers (ingest tier)
   kIngestRuns,       ///< sorted runs coalesced out of the staging buffers

@@ -1,8 +1,8 @@
-// Tests for PR7's concurrent shard pipelines (core/sharded_heap.hpp):
-// worker-team bit-exactness across assignments (striped W<=A and crewed
-// W>A), the overlapped-putback handshake, the cross-shard min hint's
-// exactness and putback reduction, per-worker occupancy accounting, the
-// timestamp-band DES routing, and the new differential-registry entries.
+// Tests for the sharded cycle's driver-side refinements and the E15
+// comparison frontends (core/sharded_heap.hpp): the cross-shard min hint's
+// exactness and putback reduction, the per-phase spans of the serial cycle,
+// the timestamp-band DES routing, the flat-combining baseline, and the
+// differential-registry entries those rows lean on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,8 +14,8 @@
 #include "sim/network.hpp"
 #include "sim/serial_sim.hpp"
 #include "sim/sharded_sim.hpp"
+#include "telemetry/telemetry.hpp"
 #include "testing/op_trace.hpp"
-#include "testing/oracle.hpp"
 #include "testing/structures.hpp"
 #include "util/rng.hpp"
 
@@ -25,7 +25,6 @@ namespace {
 using U64 = std::uint64_t;
 using testing::GenConfig;
 using testing::OpTrace;
-using testing::SortedOracle;
 
 ShardedHeap<U64>::Config base_cfg(std::size_t shards) {
   ShardedHeap<U64>::Config c;
@@ -33,112 +32,6 @@ ShardedHeap<U64>::Config base_cfg(std::size_t shards) {
   c.rebalance_interval = 16;
   c.sample_capacity = 256;
   return c;
-}
-
-// --------------------------------------------------- worker-team exactness
-
-TEST(ParallelCycle, WorkerTeamBitExactAcrossAssignments) {
-  // Every (shards, workers, overlap) combination must produce the byte-
-  // identical deletion stream of the serial (workers=0) reference — per
-  // cycle AND through the final drain. workers > shards exercises the crew
-  // split of odd/even levels inside one shard; workers <= shards the striped
-  // whole-pipeline assignment.
-  GenConfig gen;
-  gen.r = 8;
-  gen.cycles = 250;
-  gen.seed = 41;
-  const OpTrace t = generate_trace(gen);
-
-  for (std::size_t shards : {std::size_t{3}, std::size_t{4}}) {
-    // Serial reference stream.
-    std::vector<std::vector<U64>> ref;
-    {
-      ShardedHeap<U64> q(gen.r, base_cfg(shards));
-      for (const auto& op : t.ops) {
-        ref.emplace_back();
-        q.cycle(op.fresh, std::min(op.k, gen.r), ref.back());
-      }
-      for (;;) {
-        ref.emplace_back();
-        if (q.cycle({}, gen.r, ref.back()) == 0) break;
-      }
-    }
-    for (unsigned workers : {1u, 2u, 5u}) {
-      for (bool overlap : {false, true}) {
-        ShardedHeap<U64>::Config cfg = base_cfg(shards);
-        cfg.workers = workers;
-        cfg.overlap_putback = overlap;
-        ShardedHeap<U64> q(gen.r, cfg);
-        std::vector<U64> got;
-        std::size_t i = 0;
-        for (const auto& op : t.ops) {
-          got.clear();
-          q.cycle(op.fresh, std::min(op.k, gen.r), got);
-          ASSERT_EQ(got, ref[i]) << "shards=" << shards << " W=" << workers
-                                 << " overlap=" << overlap << " cycle " << i;
-          ++i;
-        }
-        for (;;) {
-          got.clear();
-          const std::size_t n = q.cycle({}, gen.r, got);
-          ASSERT_EQ(got, ref[i]) << "drain cycle " << i;
-          ++i;
-          if (n == 0) break;
-        }
-        // The run must actually have used the team.
-        EXPECT_GT(q.sharded_stats().parallel_cycles, 0u)
-            << "shards=" << shards << " W=" << workers;
-        std::string why;
-        EXPECT_TRUE(q.check_invariants(&why)) << why;
-      }
-    }
-  }
-}
-
-// ----------------------------------------------------- overlap handshake
-
-TEST(ParallelCycle, OverlapPutbackHandshake) {
-  // With overlap on, cycle() may return while the putback still runs on the
-  // team; putback_pending() is observable, quiesce() joins it, and every
-  // state-reading entry point (sorted_contents here) self-quiesces — the
-  // caller can never observe a half-returned prefix.
-  ShardedHeap<U64>::Config cfg = base_cfg(3);
-  cfg.workers = 2;
-  cfg.overlap_putback = true;
-  ShardedHeap<U64> q(8, cfg);
-  SortedOracle oracle;
-  Xoshiro256 rng(77);
-  std::vector<U64> got, want, fresh;
-  bool saw_pending = false;
-
-  for (int cycle = 0; cycle < 300; ++cycle) {
-    fresh.clear();
-    for (std::size_t i = rng.next_below(12); i > 0; --i) {
-      fresh.push_back(rng.next_below(4096));
-    }
-    const std::size_t k = rng.next_below(9);
-    got.clear();
-    want.clear();
-    q.cycle(fresh, k, got);
-    oracle.cycle(fresh, k, want);
-    ASSERT_EQ(got, want) << "cycle " << cycle;
-    if (q.putback_pending()) {
-      saw_pending = true;
-      if (cycle % 7 == 0) {
-        // Explicit join path; idempotent (second call is a no-op).
-        q.quiesce();
-        q.quiesce();
-        EXPECT_FALSE(q.putback_pending());
-      } else if (cycle % 11 == 0) {
-        // Implicit join: a state read must see the settled structure.
-        EXPECT_EQ(q.sorted_contents(), oracle.contents()) << "cycle " << cycle;
-        EXPECT_FALSE(q.putback_pending());
-      }
-    }
-  }
-  EXPECT_TRUE(saw_pending)
-      << "trace never left a putback in flight; overlap path untested";
-  EXPECT_EQ(q.sorted_contents(), oracle.contents());
 }
 
 // ------------------------------------------------------------ min hint
@@ -186,37 +79,38 @@ TEST(ParallelCycle, MinHintSkipsLosingShardsExactly) {
       << "hint never removed a putback round-trip on this workload";
 }
 
-// ----------------------------------------------------- occupancy mirror
+// ------------------------------------------------------- phase spans
 
-TEST(ParallelCycle, WorkerOccupancyCountersPopulate) {
+TEST(ParallelCycle, SerialCycleRecordsPullAndPutbackSpans) {
+  // Every cycle records one shard_pull span around phase 2 and one
+  // shard_putback span around phases 4/4b, so a trace splits the cycle's
+  // time into route / pull / merge / putback.
+  telemetry::Registry::instance().reset();
   ShardedHeap<U64>::Config cfg = base_cfg(3);
-  cfg.workers = 2;
-  cfg.overlap_putback = true;
-  ShardedHeap<U64> q(16, cfg);
+  cfg.min_hint = false;  // every losing prefix takes the putback path
+  ShardedHeap<U64> q(8, cfg);
   Xoshiro256 rng(9);
   std::vector<U64> got, fresh;
-  for (int cycle = 0; cycle < 100; ++cycle) {
+  constexpr int kCycles = 100;
+  for (int cycle = 0; cycle < kCycles; ++cycle) {
     fresh.clear();
-    for (std::size_t i = rng.next_below(24); i > 0; --i) {
-      fresh.push_back(rng());
+    for (std::size_t i = rng.next_below(12); i > 0; --i) {
+      fresh.push_back(rng.next_below(4096));
     }
     got.clear();
-    q.cycle(fresh, rng.next_below(17), got);
+    q.cycle(fresh, rng.next_below(9), got);
   }
-  q.quiesce();
-  const auto& live = q.live();
-  ASSERT_EQ(live.worker_busy_ns.size(), 2u);
-  std::uint64_t phases = 0;
-  std::uint64_t busy = 0;
-  for (std::size_t w = 0; w < 2; ++w) {
-    phases += live.worker_phases[w].load();
-    busy += live.worker_busy_ns[w].load();
+  const telemetry::MetricsSnapshot snap = telemetry::Registry::instance().collect();
+  if (telemetry::kEnabled) {
+    EXPECT_EQ(snap.phase(telemetry::Phase::kShardPull).count(),
+              static_cast<std::uint64_t>(kCycles));
+    EXPECT_EQ(snap.phase(telemetry::Phase::kShardPutback).count(),
+              static_cast<std::uint64_t>(kCycles));
+    EXPECT_GT(q.sharded_stats().putbacks, 0u);
+  } else {
+    EXPECT_EQ(snap.phase(telemetry::Phase::kShardPull).count(), 0u);
   }
-  // Every worker ran pull stints on every parallel cycle; both counters
-  // must have advanced (busy-ns can be tiny but not zero over 100 cycles).
-  EXPECT_GT(phases, 0u);
-  EXPECT_GT(busy, 0u);
-  EXPECT_GT(q.sharded_stats().parallel_cycles, 0u);
+  telemetry::Registry::instance().reset();
 }
 
 // ------------------------------------------------------- banded DES routing
@@ -245,26 +139,6 @@ TEST(ParallelCycle, BandedRoutingExactOnDes) {
   }
 }
 
-TEST(ParallelCycle, BandedRoutingWithWorkersExact) {
-  const sim::Topology topo = sim::make_torus(6, 6);
-  sim::ModelConfig mc;
-  mc.seed = 33;
-  const sim::Model model(topo, mc);
-  const double end_time = 30.0;
-  const sim::SimResult want = sim::run_serial_sim(model, end_time);
-
-  sim::ShardedSimConfig cfg;
-  cfg.shards = 3;
-  cfg.node_capacity = 32;
-  cfg.batch = 32;
-  cfg.band_width = 0.0;  // auto
-  cfg.workers = 2;
-  cfg.overlap_putback = true;
-  const sim::ShardedSimResult got = sim::run_sharded_sim(model, end_time, cfg);
-  EXPECT_TRUE(got.sim.same_outcome(want));
-  EXPECT_GT(got.shard.parallel_cycles, 0u);
-}
-
 // ------------------------------------------------- flat-combining baseline
 
 TEST(ParallelCycle, FlatCombiningSingleThreadIsExactPQ) {
@@ -291,12 +165,10 @@ TEST(ParallelCycle, FlatCombiningSingleThreadIsExactPQ) {
 // ------------------------------------------------- differential registry
 
 TEST(ParallelCycle, RegistryEntriesPassDifferential) {
-  // The new structures ride the full adversarial differential runner: the
-  // concurrent sharded configs bit-exact, the engine surface bit-exact, the
+  // The structures E15 compares ride the full adversarial differential
+  // runner: the sharded heap and the engine surface bit-exact, the
   // flat-combining team under conservation checking.
-  for (const char* name :
-       {"sharded_heap_conc", "sharded_heap_crew", "engine_team",
-        "flat_combining_mt"}) {
+  for (const char* name : {"sharded_heap", "engine_team", "flat_combining_mt"}) {
     for (std::uint64_t seed : {11u, 47u}) {
       GenConfig gen;
       gen.r = 8;

@@ -10,6 +10,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -18,6 +19,7 @@
 #include <limits>
 #include <map>
 #include <set>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -553,41 +555,84 @@ TEST(SchedulerCore, RefusesDirectoryWithForeignCheckpoint) {
 
 // ---------------------------------------------------------------- tcp server
 
-TEST(SvcServer, EndToEndScheduleAckPollShutdown) {
-  Dir dir("ph-svc-server");
+svc::ServerConfig tcp_cfg(const Dir& dir) {
   svc::ServerConfig cfg;
   cfg.core = small_cfg(dir.path);
   cfg.core.clock = nullptr;  // the server runs on the wall clock
   cfg.port = 0;
   cfg.watchdog = false;
-  svc::Server server(cfg);
-  const std::uint16_t port = server.port();
-  std::thread loop([&server] { server.run(); });
+  return cfg;
+}
 
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
+/// Runs a server's loop on its own thread; stops and joins it on scope exit,
+/// so a failed ASSERT never leaves a joinable thread behind.
+struct LoopThread {
+  explicit LoopThread(svc::Server& s) : server(s), loop([&s] { s.run(); }) {}
+  ~LoopThread() {
+    server.stop();
+    loop.join();
+  }
+  svc::Server& server;
+  std::thread loop;
+};
+
+/// Connects to the server on loopback; reads time out after 5 s so a
+/// connection the server never answers fails the test instead of hanging it.
+int connect_loopback(std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
   ::sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   addr.sin_port = htons(port);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<::sockaddr*>(&addr), sizeof(addr)), 0);
+  if (::connect(fd, reinterpret_cast<::sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  const ::timeval tv{5, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  return fd;
+}
+
+bool send_svc(int fd, const SvcMsg& m) {
+  std::vector<std::uint8_t> enc, wire;
+  svc::encode_svc(m, enc);
+  return dist::send_frame_fd(fd, std::span<const std::uint8_t>(enc), wire);
+}
+
+/// Reads one reply; false on EOF, timeout, or an undecodable frame.
+bool recv_svc(int fd, dist::FrameParser& parser, SvcMsg& m) {
+  std::vector<std::uint8_t> payload;
+  while (parser.next(payload) != dist::FrameStatus::kFrame) {
+    std::uint8_t chunk[4096];
+    const ::ssize_t r = ::recv(fd, chunk, sizeof(chunk), 0);
+    if (r <= 0) return false;
+    parser.feed(std::span<const std::uint8_t>(chunk, static_cast<std::size_t>(r)));
+  }
+  return svc::decode_svc(std::span<const std::uint8_t>(payload), m);
+}
+
+/// One Stats round trip on a fresh parser.
+bool stats_round_trip(int fd) {
+  SvcMsg q;
+  q.type = SvcType::kStats;
+  dist::FrameParser parser;
+  SvcMsg rep;
+  return send_svc(fd, q) && recv_svc(fd, parser, rep) &&
+         rep.type == SvcType::kStatsReply;
+}
+
+TEST(SvcServer, EndToEndScheduleAckPollShutdown) {
+  Dir dir("ph-svc-server");
+  svc::Server server(tcp_cfg(dir));
+  std::thread loop([&server] { server.run(); });
+
+  const int fd = connect_loopback(server.port());
+  ASSERT_GE(fd, 0);
 
   dist::FrameParser parser;
-  std::vector<std::uint8_t> enc, wire;
-  auto send_msg = [&](const SvcMsg& m) {
-    svc::encode_svc(m, enc);
-    ASSERT_TRUE(dist::send_frame_fd(fd, std::span<const std::uint8_t>(enc), wire));
-  };
-  auto recv_msg = [&](SvcMsg& m) {
-    std::vector<std::uint8_t> payload;
-    while (parser.next(payload) != dist::FrameStatus::kFrame) {
-      std::uint8_t chunk[4096];
-      const ::ssize_t r = ::recv(fd, chunk, sizeof(chunk), 0);
-      ASSERT_GT(r, 0);
-      parser.feed(std::span<const std::uint8_t>(chunk, static_cast<std::size_t>(r)));
-    }
-    ASSERT_TRUE(svc::decode_svc(std::span<const std::uint8_t>(payload), m));
-  };
+  auto send_msg = [&](const SvcMsg& m) { ASSERT_TRUE(send_svc(fd, m)); };
+  auto recv_msg = [&](SvcMsg& m) { ASSERT_TRUE(recv_svc(fd, parser, m)); };
 
   // Schedule 3 immediate jobs; acks arrive after the group commit.
   for (std::uint64_t id = 1; id <= 3; ++id) {
@@ -646,22 +691,11 @@ TEST(SvcServer, EndToEndScheduleAckPollShutdown) {
 
 TEST(SvcServer, MalformedFrameGetsErrorThenClose) {
   Dir dir("ph-svc-badframe");
-  svc::ServerConfig cfg;
-  cfg.core = small_cfg(dir.path);
-  cfg.core.clock = nullptr;
-  cfg.port = 0;
-  cfg.watchdog = false;
-  svc::Server server(cfg);
-  const std::uint16_t port = server.port();
+  svc::Server server(tcp_cfg(dir));
   std::thread loop([&server] { server.run(); });
 
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int fd = connect_loopback(server.port());
   ASSERT_GE(fd, 0);
-  ::sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<::sockaddr*>(&addr), sizeof(addr)), 0);
   // A well-framed but undecodable payload: kError, then the server hangs up.
   const std::vector<std::uint8_t> junk = {0x00, 0x01, 0x02};
   std::vector<std::uint8_t> wire;
@@ -688,6 +722,75 @@ TEST(SvcServer, MalformedFrameGetsErrorThenClose) {
   ::close(fd);
   server.stop();
   loop.join();
+}
+
+TEST(SvcServer, BurstOfNewConnectionsWhileOneIsActiveIsServed) {
+  Dir dir("ph-svc-burst");
+  svc::Server server(tcp_cfg(dir));
+  const std::uint16_t port = server.port();
+  LoopThread loop(server);
+
+  // Peers that reset their connections leave POLLERR|POLLHUP revents in the
+  // loop's pollfd slots past the live set — what a connection accepted in
+  // the same round must never read as its own.
+  for (int round = 0; round < 3; ++round) {
+    std::vector<int> doomed;
+    for (int i = 0; i < 8; ++i) {
+      const int fd = connect_loopback(port);
+      ASSERT_GE(fd, 0);
+      ASSERT_TRUE(stats_round_trip(fd));
+      doomed.push_back(fd);
+    }
+    const ::linger reset{1, 0};
+    for (const int fd : doomed) {
+      ::setsockopt(fd, SOL_SOCKET, SO_LINGER, &reset, sizeof(reset));
+      ::close(fd);
+    }
+  }
+
+  // One connection keeps the loop busy while a burst connects.
+  const int active = connect_loopback(port);
+  ASSERT_GE(active, 0);
+  std::atomic<bool> done{false};
+  std::atomic<bool> active_ok{true};
+  std::thread pinger([&] {
+    while (!done.load() && active_ok.load()) {
+      if (!stats_round_trip(active)) active_ok = false;
+    }
+  });
+  constexpr int kBurst = 16;
+  std::vector<int> burst;
+  for (int i = 0; i < kBurst; ++i) {
+    const int fd = connect_loopback(port);
+    if (fd >= 0) burst.push_back(fd);
+  }
+  ASSERT_EQ(burst.size(), static_cast<std::size_t>(kBurst));
+  for (std::size_t i = 0; i < burst.size(); ++i) {
+    EXPECT_TRUE(stats_round_trip(burst[i])) << "burst connection " << i
+                                            << " was never served";
+  }
+  done = true;
+  pinger.join();
+  EXPECT_TRUE(active_ok.load());
+  for (const int fd : burst) ::close(fd);
+  ::close(active);
+}
+
+TEST(SvcServer, IdleConnectionClosesAtEof) {
+  Dir dir("ph-svc-eof");
+  svc::Server server(tcp_cfg(dir));
+  LoopThread loop(server);
+
+  const int fd = connect_loopback(server.port());
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(stats_round_trip(fd));
+  // Half-close with nothing in flight: the server must hang up (EOF here)
+  // instead of leaving the socket in CLOSE_WAIT; the 5 s read timeout
+  // bounds the wait.
+  ASSERT_EQ(::shutdown(fd, SHUT_WR), 0);
+  std::uint8_t byte = 0;
+  EXPECT_EQ(::recv(fd, &byte, 1, 0), 0) << "no EOF from the server";
+  ::close(fd);
 }
 
 }  // namespace

@@ -33,7 +33,7 @@ void on_term(int) {
 void usage(const char* argv0) {
   std::fprintf(
       stderr,
-      "usage: %s --dir PATH [--port N] [--shards N] [--workers N]\n"
+      "usage: %s --dir PATH [--port N] [--shards N]\n"
       "          [--fsync never|checkpoint|every] [--max-backlog N]\n"
       "          [--overload-watermark N] [--admit-rate JOBS_PER_SEC]\n"
       "          [--burst N] [--max-inflight N] [--metrics-port N]\n"
@@ -63,8 +63,6 @@ int main(int argc, char** argv) {
       cfg.port = static_cast<std::uint16_t>(std::strtoul(next(), nullptr, 10));
     } else if (a == "--shards") {
       cfg.core.shards = std::strtoull(next(), nullptr, 10);
-    } else if (a == "--workers") {
-      cfg.core.workers = std::strtoull(next(), nullptr, 10);
     } else if (a == "--node-capacity") {
       cfg.core.node_capacity = std::strtoull(next(), nullptr, 10);
     } else if (a == "--fsync") {
